@@ -478,8 +478,10 @@ bool bench_session_recover(bench::JsonBench& out, engine::SmootherEngine& eng, i
   kalman::SmootherResult ref;
   std::uint64_t journal_bytes = 0;
   {
-    engine::Session live = eng.open_durable_session(journal_store, "bench", n);
-    engine::Session live_c = eng.open_durable_session(compact_store, "bench", n);
+    engine::Session live =
+        eng.open_session(n, engine::SessionOptions{}.durable(journal_store, "bench"));
+    engine::Session live_c =
+        eng.open_session(n, engine::SessionOptions{}.durable(compact_store, "bench"));
     for (engine::Session* s : {&live, &live_c}) {
       if (track.step(0).observation) {
         const kalman::Observation& ob = *track.step(0).observation;

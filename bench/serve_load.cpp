@@ -4,13 +4,12 @@
 ///
 /// Three phases, all of which gate the exit status:
 ///
-///  1. Agreement: for every backend, small jobs routed through a *batched*
-///     tenant class (deadline-flushed, no explicit flush() call) must agree
-///     with a direct engine submit to 1e-10.
+///  1. Agreement: for every backend, small jobs routed through the tier in
+///     every tenant class must agree with a direct engine submit to 1e-10.
 ///  2. serve_load: Poisson arrivals at a target QPS with a mixed tenant
 ///     population (interactive / standard / besteffort) against a fresh
 ///     tier; reports per-class end-to-end p50/p99 latency (stamped when the
-///     caller-visible future resolves, so buffer wait and forwarding are
+///     caller-visible future resolves, so admission and queue wait are
 ///     included), offered vs achieved QPS, and shed rate.  Exact accounting
 ///     (completed + shed + failed == submitted) is an invariant.
 ///  3. serve_overload: a burst far over capacity with tight per-class
@@ -71,14 +70,10 @@ double max_deviation(const kalman::SmootherResult& got, const kalman::SmootherRe
   return d;
 }
 
-/// Phase 1: batched-through-the-tier vs direct-to-the-engine, per backend.
-bool check_batched_agreement(index n, index k) {
+/// Phase 1: through-the-tier vs direct-to-the-engine, per backend and class.
+bool check_tier_agreement(index n, index k) {
   serve::ServeOptions so;
   so.shards = 2;
-  // Aggressive batching so the agreement path really exercises the buffer:
-  // a large size cut plus a short deadline forces deadline flushes.
-  so.classes[serve::tenant_class_index(TenantClass::Standard)].flush_max_jobs = 64;
-  so.classes[serve::tenant_class_index(TenantClass::Standard)].flush_deadline_seconds = 0.002;
   serve::ServingTier tier(so);
 
   bool ok = true;
@@ -89,28 +84,30 @@ bool check_batched_agreement(index n, index k) {
     kalman::Problem p = kalman::make_paper_benchmark(rng, n, k);
     const kalman::GaussianPrior prior = kalman::diffuse_prior(n);
 
-    engine::JobOptions ref_opts;
-    ref_opts.backend = backend;
-    ref_opts.prior = prior;
-    serve::TenantHandle t =
-        tier.tenant("agreement-" + std::string(info.name), TenantClass::Standard);
-    const kalman::SmootherResult ref =
-        tier.shard_engine(t.shard()).submit(p, ref_opts).get().result;
+    for (int c = 0; c < serve::num_tenant_classes; ++c) {
+      const TenantClass cls = static_cast<TenantClass>(c);
+      engine::JobOptions ref_opts;
+      ref_opts.backend = backend;
+      ref_opts.prior = prior;
+      serve::TenantHandle t = tier.tenant(
+          "agreement-" + std::string(info.name) + "-" + serve::tenant_class_name(cls), cls);
+      const kalman::SmootherResult ref =
+          tier.shard_engine(t.shard()).submit(p, ref_opts).get().result;
 
-    serve::Request req;
-    req.problem = p;
-    req.prior = prior;
-    engine::SubmitOptions opts;
-    opts.backend = backend;
-    // No flush() call: the pump's deadline flush must deliver this.
-    std::future<engine::JobResult> fut = tier.submit(t, std::move(req), opts);
-    const kalman::SmootherResult got = fut.get().result;
+      serve::Request req;
+      req.problem = p;
+      req.prior = prior;
+      engine::SubmitOptions opts;
+      opts.backend = backend;
+      const kalman::SmootherResult got = tier.submit(t, std::move(req), opts).get().result;
 
-    const double dev = max_deviation(got, ref);
-    if (!(dev <= 1e-10)) {
-      std::fprintf(stderr, "serve_load: backend %s batched-vs-direct deviation %.3e > 1e-10\n",
-                   info.name, dev);
-      ok = false;
+      const double dev = max_deviation(got, ref);
+      if (!(dev <= 1e-10)) {
+        std::fprintf(stderr,
+                     "serve_load: backend %s class %s tier-vs-direct deviation %.3e > 1e-10\n",
+                     info.name, serve::tenant_class_name(cls), dev);
+        ok = false;
+      }
     }
   }
   return ok;
@@ -178,8 +175,9 @@ int main() {
   const int reps = bench::json_repetitions();
   bench::JsonBench out("BENCH_serve.json");
 
-  bool ok = check_batched_agreement(n, k);
-  std::printf("serve_load: batched-vs-direct agreement %s\n", ok ? "OK (5 backends)" : "FAILED");
+  bool ok = check_tier_agreement(n, k);
+  std::printf("serve_load: tier-vs-direct agreement %s\n",
+              ok ? "OK (5 backends x 3 classes)" : "FAILED");
 
   // Problem pool, built once (construction excluded from timing).
   la::Rng rng(0x5EAF00D);

@@ -107,9 +107,10 @@ int run_stream(const std::string& dir, long max_steps) {
 
   std::vector<engine::Session> tracks;
   for (int t = 0; t < kTracks; ++t)
-    tracks.push_back(eng.open_durable_session(store, track_id(t), kDim));
-  engine::NonlinearSession pend = eng.open_durable_nonlinear_session(
-      store, "pendulum", pendulum_callbacks(), la::Vector({0.5, 0.0}));
+    tracks.push_back(eng.open_session(kDim, engine::SessionOptions{}.durable(store, track_id(t))));
+  engine::NonlinearSession pend =
+      eng.open_session(pendulum_callbacks(), la::Vector({0.5, 0.0}),
+                       engine::SessionOptions{}.durable(store, "pendulum"));
 
   std::printf("streaming %d linear tracks + 1 pendulum into %s (kill me)\n", kTracks,
               dir.c_str());

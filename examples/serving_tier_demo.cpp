@@ -3,12 +3,10 @@
 /// header: a fleet of tenants in all three classes runs a mixed workload —
 /// batch smooths, a durable streaming session, a nonlinear track — against
 /// a ServingTier, then the process prints the per-class tier accounting an
-/// operator would look at (submitted/direct/batched/shed, flush causes,
-/// placement) and proves a restart recovers every durable tenant on the
-/// shard that owns it.
+/// operator would look at (submitted/blocked/shed, placement) and proves a
+/// restart recovers every durable tenant on the shard that owns it.
 ///
-/// Knobs (all optional): PITK_SHARDS, PITK_SERVE_THREADS,
-/// PITK_SERVE_FLUSH_JOBS, PITK_SERVE_FLUSH_MS, PITK_SERVE_WAIT_MS.
+/// Knobs (all optional): PITK_SHARDS, PITK_SERVE_THREADS, PITK_SERVE_WAIT_MS.
 
 #include <cstdio>
 #include <filesystem>
@@ -72,7 +70,7 @@ int main() {
                 sr.means.size());
   }
 
-  // --- one nonlinear tenant (submit-through, admission still applies) ------
+  // --- one nonlinear streaming tenant on its shard --------------------------
   {
     serve::TenantHandle nt = tier.tenant("pendulum-0", serve::TenantClass::Standard);
     engine::NonlinearSession ns = tier.open_session(nt, kalman::make_pendulum_benchmark(rng, 48, 0.5),
@@ -88,15 +86,11 @@ int main() {
   const serve::TierStats st = tier.stats();
   std::printf("%d/%zu batch smooths completed\n", ok, futs.size());
   for (unsigned c = 0; c < serve::num_tenant_classes; ++c)
-    std::printf("  %-11s submitted %3llu  direct %3llu  batched %3llu  shed %3llu\n",
+    std::printf("  %-11s submitted %3llu  blocked %3llu  shed %3llu\n",
                 serve::tenant_class_name(static_cast<serve::TenantClass>(c)),
                 static_cast<unsigned long long>(st.classes[c].submitted),
-                static_cast<unsigned long long>(st.classes[c].direct),
-                static_cast<unsigned long long>(st.classes[c].batched),
+                static_cast<unsigned long long>(st.classes[c].blocked),
                 static_cast<unsigned long long>(st.classes[c].shed));
-  std::printf("  flushes: %llu by size, %llu by deadline\n",
-              static_cast<unsigned long long>(st.size_flushes),
-              static_cast<unsigned long long>(st.deadline_flushes));
 
   // --- restart: a fresh tier recovers the durable tenant on its shard ------
   serve::ServingTier tier2;

@@ -546,39 +546,6 @@ NonlinearSession SmootherEngine::open_session(kalman::NonlinearModel model, la::
   return NonlinearSession(std::move(st));
 }
 
-// Deprecated forwarders — defined here so every caller funnels through the
-// unified open_session overloads above.  The pragma keeps the library's own
-// build clean; external callers see the [[deprecated]] note.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-NonlinearSession SmootherEngine::open_nonlinear_session(kalman::NonlinearModel model,
-                                                        la::Vector u0,
-                                                        NonlinearJobOptions opts) {
-  SessionOptions so;
-  so.nonlinear = std::move(opts);
-  return open_session(std::move(model), std::move(u0), so);
-}
-
-Session SmootherEngine::open_durable_session(io::SessionStore& store, std::string_view id,
-                                             la::index n0) {
-  return open_session(n0, SessionOptions{}.durable(store, std::string(id)));
-}
-
-NonlinearSession SmootherEngine::open_durable_nonlinear_session(
-    io::SessionStore& store, std::string_view id, kalman::NonlinearModel model,
-    la::Vector u0, NonlinearJobOptions opts) {
-  SessionOptions so = SessionOptions{}.durable(store, std::string(id));
-  so.nonlinear = std::move(opts);
-  return open_session(std::move(model), std::move(u0), so);
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 void SmootherEngine::wait_idle() {
   // A pool worker must never sleep here: parking a lane would shrink the
   // pool for whatever job is still running, so workers keep helping/yielding

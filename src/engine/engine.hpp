@@ -30,7 +30,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/gauss_newton.hpp"
@@ -367,24 +366,6 @@ class SmootherEngine {
   /// warm start (same durability contract as the linear overload).
   [[nodiscard]] NonlinearSession open_session(kalman::NonlinearModel model, la::Vector u0,
                                               const SessionOptions& opts = {});
-
-  /// ---- deprecated pre-SessionOptions entry points -----------------------
-  /// Kept as thin forwarders so existing code compiles unchanged; nonlinear
-  /// and durable are orthogonal SessionOptions now, not separate names.
-
-  [[deprecated("use open_session(model, u0, SessionOptions) — nonlinear is an overload")]]
-  [[nodiscard]] NonlinearSession open_nonlinear_session(kalman::NonlinearModel model,
-                                                        la::Vector u0,
-                                                        NonlinearJobOptions opts = {});
-
-  [[deprecated("use open_session(n0, SessionOptions{}.durable(store, id))")]]
-  [[nodiscard]] Session open_durable_session(io::SessionStore& store, std::string_view id,
-                                             la::index n0);
-
-  [[deprecated("use open_session(model, u0, SessionOptions{}.durable(store, id))")]]
-  [[nodiscard]] NonlinearSession open_durable_nonlinear_session(
-      io::SessionStore& store, std::string_view id, kalman::NonlinearModel model,
-      la::Vector u0, NonlinearJobOptions opts = {});
 
   /// Reopen every journal in `store` and rebuild its session: scan the chunk
   /// file (truncating a torn tail), restore the snapshot if one was

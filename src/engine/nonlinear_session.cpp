@@ -86,7 +86,7 @@ void NonlinearSession::resmooth(const State& st, Cache& cache, bool with_covaria
     if (!hit) {
       kalman::NonlinearModel& snap = cache.snapshot;
       if (!snap.f) {
-        // Callbacks are fixed at open_nonlinear_session() time: copy once.
+        // Callbacks are fixed when the session opens: copy once.
         snap.f = st.model.f;
         snap.f_jac = st.model.f_jac;
         snap.process_noise = st.model.process_noise;

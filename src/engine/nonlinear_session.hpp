@@ -22,8 +22,8 @@
 /// (capacity-reused, O(k) small copies) and solves outside it, so the
 /// measurement stream is never blocked behind a solve.
 ///
-/// Created by SmootherEngine::open_nonlinear_session(); must not outlive the
-/// engine.
+/// Created by SmootherEngine::open_session(model, u0, SessionOptions); must
+/// not outlive the engine.
 
 #include <atomic>
 #include <cstdint>
@@ -134,8 +134,8 @@ class NonlinearSession {
     kalman::NonlinearModel model;  ///< k/dims/obs grow with advance()
     la::Vector u0;                 ///< initial guess for state 0 (cold start)
     NonlinearJobOptions opts;
-    /// Durable sessions only (SmootherEngine::open_durable_nonlinear_session
-    /// / recover_all): the write-ahead journal advance() appends to, under
+    /// Durable sessions only (open_session with SessionOptions::store set,
+    /// or recover_all): the write-ahead journal advance() appends to, under
     /// `mu`.  Null for plain sessions.
     std::unique_ptr<io::SessionJournal> journal;
     std::uint64_t mutations = 0;

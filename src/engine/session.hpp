@@ -180,8 +180,8 @@ class Session {
     SmootherEngine* engine;
     mutable std::mutex mu;
     kalman::IncrementalFilter filter;
-    /// Durable sessions only (SmootherEngine::open_durable_session /
-    /// recover_all): the write-ahead journal every mutation appends to,
+    /// Durable sessions only (open_session with SessionOptions::store set,
+    /// or recover_all): the write-ahead journal every mutation appends to,
     /// under `mu`.  Null for plain sessions — the common case pays one
     /// pointer test per mutation.
     std::unique_ptr<io::SessionJournal> journal;

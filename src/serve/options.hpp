@@ -5,30 +5,25 @@
 ///
 /// A ServingTier owns N SmootherEngine shards (each with its own thread
 /// pool and bounded queue) and fronts them with a tenant-centric API.
-/// Tenants belong to one of three classes that trade latency against
-/// efficiency:
+/// Every request goes straight to its tenant's shard; the three tenant
+/// classes differ only in admission, i.e. how much estimated shard-queue
+/// wait they accept and whether they block or shed beyond it:
 ///
-///   Interactive  submit-through: every request goes straight to its shard
-///                (no batching delay), and admission *blocks* briefly under
-///                backlog before shedding — the lowest-latency, last-shed
-///                class.
-///   Standard     small batches with a short flush deadline: requests
-///                accumulate per (shard, class) and flush on size or
-///                deadline, amortizing per-job dispatch.
-///   BestEffort   large batches, long deadline, first to shed: throughput
-///                traffic that yields the queue to the classes above.
+///   Interactive  largest budget, and admission *blocks* briefly under
+///                backlog before shedding — the last-shed class.
+///   Standard     default budget; sheds at once when over it.
+///   BestEffort   smallest budget, first to shed: throughput traffic that
+///                yields the queue to the classes above.
 ///
 /// Environment knobs (read by ServeOptions::env_defaults(); explicit
-/// options always win):
-///   PITK_SHARDS                  number of engine shards
-///   PITK_SERVE_THREADS           pool threads per shard
-///   PITK_SERVE_FLUSH_JOBS        Standard flush size (BestEffort uses 4x)
-///   PITK_SERVE_FLUSH_MS         Standard flush deadline (BestEffort 5x)
-///   PITK_SERVE_WAIT_MS          Standard admission budget, i.e. the max
-///                               estimated shard-queue wait admitted
-///                               (Interactive 2x, BestEffort 0.4x)
+/// options always win).  A value must parse in full, or it keeps the
+/// default:
+///   PITK_SHARDS          number of engine shards (positive integer)
+///   PITK_SERVE_THREADS   pool threads per shard (positive integer)
+///   PITK_SERVE_WAIT_MS   Standard admission budget in milliseconds, i.e.
+///                        the max estimated shard-queue wait admitted
+///                        (finite, >= 0; Interactive 2x, BestEffort 0.4x)
 
-#include <cstddef>
 #include <cstdint>
 
 #include "engine/engine.hpp"
@@ -52,16 +47,8 @@ inline constexpr int num_tenant_classes = 3;
   return static_cast<int>(c);
 }
 
-/// Per-class batching + admission policy.
+/// Per-class admission policy.
 struct ClassOptions {
-  /// Requests buffered per (shard, class) before the buffer flushes as one
-  /// engine batch.  <= 1 means submit-through (no buffering at all).
-  std::size_t flush_max_jobs = 1;
-  /// Oldest-request age that forces a flush even when the batch is not
-  /// full.  A request therefore waits at most this long in the tier buffer
-  /// on top of its shard-queue wait.  <= 0 with flush_max_jobs <= 1 means
-  /// the class never buffers.
-  double flush_deadline_seconds = 0.0;
   /// Admission budget: a request is admitted while the shard's *estimated*
   /// queue wait (queued jobs x measured seconds/job / shard concurrency)
   /// stays below this.  Above it the class sheds (fails the future with
@@ -69,7 +56,7 @@ struct ClassOptions {
   double max_queue_wait_seconds = 0.025;
   /// Block instead of shedding: the submitting thread waits up to
   /// max_block_seconds for the backlog estimate to fall back under budget,
-  /// then sheds anyway.  Interactive traffic blocks; batch traffic sheds.
+  /// then sheds anyway.  Interactive traffic blocks; the others shed.
   bool block = false;
   double max_block_seconds = 0.05;
 };
@@ -88,13 +75,10 @@ struct ServeOptions {
   engine::EngineOptions engine;
   /// Per-class policy, indexed by tenant_class_index().
   ClassOptions classes[num_tenant_classes] = {
-      /*Interactive*/ {1, 0.0, 0.05, true, 0.05},
-      /*Standard*/ {8, 0.002, 0.025, false, 0.0},
-      /*BestEffort*/ {32, 0.01, 0.01, false, 0.0},
+      /*Interactive*/ {0.05, true, 0.05},
+      /*Standard*/ {0.025, false, 0.0},
+      /*BestEffort*/ {0.01, false, 0.0},
   };
-  /// Background flusher granularity: the pump thread wakes at least this
-  /// often to check flush deadlines and forward completed batch futures.
-  double flusher_tick_seconds = 0.0005;
 
   /// Defaults with the PITK_SHARDS / PITK_SERVE_* environment knobs
   /// applied (see the file comment).

@@ -1,13 +1,14 @@
 #include "serve/serving_tier.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
-#include <deque>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
-#include "engine/backend.hpp"
 #include "engine/control.hpp"
 #include "io/session_store.hpp"
 #include "obs/registry.hpp"
@@ -30,17 +31,31 @@ std::uint64_t stable_hash(std::string_view id) noexcept {
   return h;
 }
 
-double env_double(const char* name, double fallback) {
+/// A positive integer knob, parsed by PITK_THREADS's rule: the whole string
+/// must parse, garbage, overflow and non-positive values keep `fallback`,
+/// and absurd counts clamp.
+unsigned env_count(const char* name, unsigned fallback) {
   const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::atof(v);
+  if (v == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long long n = std::strtoll(v, &end, 10);
+  constexpr long long max_count = 1024;
+  if (end == v || *end != '\0' || errno != 0 || n <= 0) return fallback;
+  return static_cast<unsigned>(std::min(n, max_count));
 }
 
-unsigned env_unsigned(const char* name, unsigned fallback) {
+/// A finite, non-negative number of milliseconds; nullopt when unset or
+/// malformed.
+std::optional<double> env_millis(const char* name) {
   const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  const long n = std::atol(v);
-  return n > 0 ? static_cast<unsigned>(n) : fallback;
+  if (v == nullptr) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const double ms = std::strtod(v, &end);
+  if (end == v || *end != '\0' || errno != 0 || !std::isfinite(ms) || ms < 0.0)
+    return std::nullopt;
+  return ms;
 }
 
 /// Registry handles, resolved once (same leaked-singleton pattern as the
@@ -48,10 +63,7 @@ unsigned env_unsigned(const char* name, unsigned fallback) {
 struct ServeMetrics {
   obs::Counter* submitted[num_tenant_classes];
   obs::Counter* shed[num_tenant_classes];
-  obs::Counter* batched[num_tenant_classes];
   obs::Counter* blocked[num_tenant_classes];
-  obs::Counter& size_flushes = obs::counter("pitk.serve.size_flushes");
-  obs::Counter& deadline_flushes = obs::counter("pitk.serve.deadline_flushes");
   obs::Counter& sessions = obs::counter("pitk.serve.sessions_opened");
   obs::Gauge& shards = obs::gauge("pitk.serve.shards");
   obs::Histogram& est_wait_s = obs::histogram("pitk.serve.admission_est_wait_s");
@@ -61,7 +73,6 @@ struct ServeMetrics {
       const std::string cls = tenant_class_name(static_cast<TenantClass>(c));
       submitted[c] = &obs::counter("pitk.serve.submitted." + cls);
       shed[c] = &obs::counter("pitk.serve.shed." + cls);
-      batched[c] = &obs::counter("pitk.serve.batched." + cls);
       blocked[c] = &obs::counter("pitk.serve.blocked." + cls);
     }
   }
@@ -80,82 +91,30 @@ std::future<engine::JobResult> shed_future(TenantClass cls) {
   return p.get_future();
 }
 
-/// Resolve the absolute deadline at tier-submit time so buffered waiting
-/// counts against it (same min-of-absolute-and-relative rule as the engine).
-std::optional<Clock::time_point> resolve_deadline(const engine::SubmitOptions& o,
-                                                  Clock::time_point now) {
-  std::optional<Clock::time_point> dl = o.deadline;
-  if (o.timeout) {
-    const auto rel = now + std::chrono::duration_cast<Clock::duration>(*o.timeout);
-    dl = dl ? std::min(*dl, rel) : rel;
-  }
-  return dl;
-}
-
 }  // namespace
 
 ServeOptions ServeOptions::env_defaults() {
   ServeOptions o;
-  o.shards = env_unsigned("PITK_SHARDS", 0);
-  o.threads_per_shard = env_unsigned("PITK_SERVE_THREADS", 0);
-  const double flush_jobs = env_double("PITK_SERVE_FLUSH_JOBS", 0.0);
-  if (flush_jobs >= 1.0) {
-    o.classes[tenant_class_index(TenantClass::Standard)].flush_max_jobs =
-        static_cast<std::size_t>(flush_jobs);
-    o.classes[tenant_class_index(TenantClass::BestEffort)].flush_max_jobs =
-        static_cast<std::size_t>(flush_jobs * 4);
-  }
-  const double flush_ms = env_double("PITK_SERVE_FLUSH_MS", -1.0);
-  if (flush_ms >= 0.0) {
-    o.classes[tenant_class_index(TenantClass::Standard)].flush_deadline_seconds =
-        flush_ms * 1e-3;
-    o.classes[tenant_class_index(TenantClass::BestEffort)].flush_deadline_seconds =
-        flush_ms * 5e-3;
-  }
-  const double wait_ms = env_double("PITK_SERVE_WAIT_MS", -1.0);
-  if (wait_ms >= 0.0) {
+  o.shards = env_count("PITK_SHARDS", 0);
+  o.threads_per_shard = env_count("PITK_SERVE_THREADS", 0);
+  if (const std::optional<double> wait_ms = env_millis("PITK_SERVE_WAIT_MS")) {
     o.classes[tenant_class_index(TenantClass::Interactive)].max_queue_wait_seconds =
-        wait_ms * 2e-3;
+        *wait_ms * 2e-3;
     o.classes[tenant_class_index(TenantClass::Standard)].max_queue_wait_seconds =
-        wait_ms * 1e-3;
+        *wait_ms * 1e-3;
     o.classes[tenant_class_index(TenantClass::BestEffort)].max_queue_wait_seconds =
-        wait_ms * 0.4e-3;
+        *wait_ms * 0.4e-3;
   }
   return o;
 }
 
-/// One buffered request: everything flush_batch needs to build the engine
-/// job, plus the tier-owned promise its caller is waiting on.
-struct ServingTier::PendingJob {
-  kalman::Problem problem;
-  std::optional<kalman::GaussianPrior> prior;
-  bool compute_covariance = true;
-  engine::SubmitOptions ctl;  ///< deadline already resolved; timeout cleared
-  std::shared_ptr<std::promise<engine::JobResult>> promise;
-};
-
 struct ServingTier::Shard {
   std::unique_ptr<engine::SmootherEngine> engine;
-
-  /// Flush buffers, guarded by buf_mu.
-  std::mutex buf_mu;
-  std::vector<PendingJob> pending[num_tenant_classes];
-  Clock::time_point oldest[num_tenant_classes] = {};
-  /// Buffered-but-unflushed request count, visible to admission without
-  /// taking buf_mu.
-  std::atomic<std::uint64_t> buffered{0};
 
   /// Admission estimate: measured seconds/job, refreshed from EngineStats
   /// at most every ~1ms (stats() takes a mutex; the estimate does not).
   std::atomic<double> avg_solve_seconds{0.0};
   std::atomic<std::int64_t> last_sample_ns{0};
-
-  /// Engine futures of flushed batch jobs, waiting to be forwarded into
-  /// their tier promises by the pump thread.
-  std::mutex fwd_mu;
-  std::deque<std::pair<std::future<engine::JobResult>,
-                       std::shared_ptr<std::promise<engine::JobResult>>>>
-      forwarded;
 };
 
 ServingTier::ServingTier(ServeOptions opts) : opts_(opts) {
@@ -179,18 +138,9 @@ ServingTier::ServingTier(ServeOptions opts) : opts_(opts) {
     shards_.push_back(std::move(sh));
   }
   metrics().shards.set(static_cast<double>(opts_.shards));
-  pump_ = std::thread([this] { pump_loop(); });
 }
 
-ServingTier::~ServingTier() {
-  {
-    std::lock_guard<std::mutex> lk(pump_mu_);
-    stop_.store(true, std::memory_order_release);
-  }
-  pump_cv_.notify_all();
-  if (pump_.joinable()) pump_.join();
-  wait_idle();
-}
+ServingTier::~ServingTier() = default;
 
 unsigned ServingTier::num_shards() const noexcept { return opts_.shards; }
 
@@ -255,14 +205,15 @@ double ServingTier::estimated_queue_wait(Shard& sh) const {
                                  std::memory_order_relaxed);
   }
   const double avg = sh.avg_solve_seconds.load(std::memory_order_relaxed);
-  const double queued = static_cast<double>(sh.engine->queued_jobs()) +
-                        static_cast<double>(sh.buffered.load(std::memory_order_relaxed));
-  return queued * avg / static_cast<double>(sh.engine->concurrency());
+  return static_cast<double>(sh.engine->queued_jobs()) * avg /
+         static_cast<double>(sh.engine->concurrency());
 }
 
 bool ServingTier::admit(Shard& sh, TenantClass cls) {
   const int c = tenant_class_index(cls);
   const ClassOptions& co = opts_.classes[c];
+  class_submitted_[c].fetch_add(1, std::memory_order_relaxed);
+  metrics().submitted[c]->add(1);
   double wait = estimated_queue_wait(sh);
   metrics().est_wait_s.record(wait);
   if (wait <= co.max_queue_wait_seconds) return true;
@@ -285,178 +236,24 @@ bool ServingTier::admit(Shard& sh, TenantClass cls) {
 
 std::future<engine::JobResult> ServingTier::submit(const TenantHandle& t, Request req,
                                                    engine::SubmitOptions opts) {
-  const int c = tenant_class_index(t.tenant_class());
-  const ClassOptions& co = opts_.classes[c];
   Shard& sh = shard(t.shard());
-  class_submitted_[c].fetch_add(1, std::memory_order_relaxed);
-  metrics().submitted[c]->add(1);
-
   if (!admit(sh, t.tenant_class())) return shed_future(t.tenant_class());
-
-  const auto now = Clock::now();
-  const bool batchable =
-      (co.flush_max_jobs > 1 || co.flush_deadline_seconds > 0.0) &&
-      engine::estimated_flops(req.problem, req.compute_covariance) <
-          engine::calibrated_small_job_flops();
-
-  if (!batchable) {
-    class_direct_[c].fetch_add(1, std::memory_order_relaxed);
-    engine::JobOptions jo;
-    static_cast<engine::SubmitOptions&>(jo) = std::move(opts);
-    jo.compute_covariance = req.compute_covariance;
-    jo.prior = std::move(req.prior);
-    return sh.engine->submit(std::move(req.problem), std::move(jo));
-  }
-
-  class_batched_[c].fetch_add(1, std::memory_order_relaxed);
-  metrics().batched[c]->add(1);
-  PendingJob pj;
-  pj.problem = std::move(req.problem);
-  pj.prior = std::move(req.prior);
-  pj.compute_covariance = req.compute_covariance;
-  pj.ctl = std::move(opts);
-  pj.ctl.deadline = resolve_deadline(pj.ctl, now);
-  pj.ctl.timeout.reset();
-  pj.promise = std::make_shared<std::promise<engine::JobResult>>();
-  std::future<engine::JobResult> fut = pj.promise->get_future();
-
-  std::vector<PendingJob> full;
-  {
-    std::lock_guard<std::mutex> lk(sh.buf_mu);
-    auto& buf = sh.pending[c];
-    if (buf.empty()) sh.oldest[c] = now;
-    buf.push_back(std::move(pj));
-    sh.buffered.fetch_add(1, std::memory_order_relaxed);
-    if (buf.size() >= co.flush_max_jobs) {
-      full = std::move(buf);
-      buf.clear();
-    }
-  }
-  if (!full.empty()) {
-    size_flushes_.fetch_add(1, std::memory_order_relaxed);
-    metrics().size_flushes.add(1);
-    flush_batch(sh, t.tenant_class(), std::move(full));
-  }
-  return fut;
+  engine::JobOptions jo;
+  static_cast<engine::SubmitOptions&>(jo) = std::move(opts);
+  jo.compute_covariance = req.compute_covariance;
+  jo.prior = std::move(req.prior);
+  return sh.engine->submit(std::move(req.problem), std::move(jo));
 }
 
 std::future<engine::JobResult> ServingTier::submit_nonlinear(
     const TenantHandle& t, engine::NonlinearJob job, engine::NonlinearJobOptions opts) {
-  const int c = tenant_class_index(t.tenant_class());
   Shard& sh = shard(t.shard());
-  class_submitted_[c].fetch_add(1, std::memory_order_relaxed);
-  metrics().submitted[c]->add(1);
   if (!admit(sh, t.tenant_class())) return shed_future(t.tenant_class());
-  class_direct_[c].fetch_add(1, std::memory_order_relaxed);
   return sh.engine->submit_nonlinear(std::move(job), std::move(opts));
 }
 
-void ServingTier::flush_batch(Shard& sh, TenantClass cls, std::vector<PendingJob> batch) {
-  PITK_TRACE_SPAN("serve.flush");
-  (void)cls;
-  sh.buffered.fetch_sub(batch.size(), std::memory_order_relaxed);
-  // Submit outside fwd_mu (a Block-policy engine may run jobs inline here),
-  // then hand the futures to the pump in one append.
-  std::vector<std::pair<std::future<engine::JobResult>,
-                        std::shared_ptr<std::promise<engine::JobResult>>>>
-      launched;
-  launched.reserve(batch.size());
-  for (PendingJob& pj : batch) {
-    engine::JobOptions jo;
-    static_cast<engine::SubmitOptions&>(jo) = std::move(pj.ctl);
-    jo.compute_covariance = pj.compute_covariance;
-    jo.prior = std::move(pj.prior);
-    try {
-      launched.emplace_back(sh.engine->submit(std::move(pj.problem), std::move(jo)),
-                            std::move(pj.promise));
-    } catch (...) {
-      pj.promise->set_exception(std::current_exception());
-    }
-  }
-  std::lock_guard<std::mutex> lk(sh.fwd_mu);
-  for (auto& l : launched) sh.forwarded.push_back(std::move(l));
-}
-
-std::size_t ServingTier::pump_forwarded(Shard& sh) {
-  std::lock_guard<std::mutex> lk(sh.fwd_mu);
-  for (std::size_t i = 0; i < sh.forwarded.size();) {
-    auto& [fut, promise] = sh.forwarded[i];
-    if (fut.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-      ++i;
-      continue;
-    }
-    try {
-      promise->set_value(fut.get());
-    } catch (...) {
-      promise->set_exception(std::current_exception());
-    }
-    sh.forwarded[i] = std::move(sh.forwarded.back());
-    sh.forwarded.pop_back();
-  }
-  return sh.forwarded.size();
-}
-
-void ServingTier::pump_loop() {
-  std::unique_lock<std::mutex> lk(pump_mu_);
-  while (!stop_.load(std::memory_order_acquire)) {
-    lk.unlock();
-    const auto now = Clock::now();
-    for (auto& shp : shards_) {
-      Shard& sh = *shp;
-      for (int c = 0; c < num_tenant_classes; ++c) {
-        const double dl = opts_.classes[c].flush_deadline_seconds;
-        std::vector<PendingJob> due;
-        {
-          std::lock_guard<std::mutex> blk(sh.buf_mu);
-          auto& buf = sh.pending[c];
-          if (!buf.empty() &&
-              std::chrono::duration<double>(now - sh.oldest[c]).count() >= dl) {
-            due = std::move(buf);
-            buf.clear();
-          }
-        }
-        if (!due.empty()) {
-          deadline_flushes_.fetch_add(1, std::memory_order_relaxed);
-          metrics().deadline_flushes.add(1);
-          flush_batch(sh, static_cast<TenantClass>(c), std::move(due));
-        }
-      }
-      (void)pump_forwarded(sh);
-    }
-    lk.lock();
-    pump_cv_.wait_for(lk, std::chrono::duration<double>(opts_.flusher_tick_seconds),
-                      [this] { return stop_.load(std::memory_order_acquire); });
-  }
-}
-
-void ServingTier::flush() {
-  for (auto& shp : shards_) {
-    Shard& sh = *shp;
-    for (int c = 0; c < num_tenant_classes; ++c) {
-      std::vector<PendingJob> due;
-      {
-        std::lock_guard<std::mutex> lk(sh.buf_mu);
-        due = std::move(sh.pending[c]);
-        sh.pending[c].clear();
-      }
-      if (!due.empty()) flush_batch(sh, static_cast<TenantClass>(c), std::move(due));
-    }
-  }
-}
-
 void ServingTier::wait_idle() {
-  flush();
-  for (;;) {
-    std::size_t left = 0;
-    for (auto& shp : shards_) {
-      shp->engine->wait_idle();
-      left += pump_forwarded(*shp);
-      left += shp->buffered.load(std::memory_order_relaxed);
-    }
-    if (left == 0) return;
-    flush();
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
+  for (auto& shp : shards_) shp->engine->wait_idle();
 }
 
 engine::SmootherEngine& ServingTier::shard_engine(unsigned s) { return *shard(s).engine; }
@@ -465,13 +262,9 @@ TierStats ServingTier::stats() const {
   TierStats out;
   for (int c = 0; c < num_tenant_classes; ++c) {
     out.classes[c].submitted = class_submitted_[c].load(std::memory_order_relaxed);
-    out.classes[c].direct = class_direct_[c].load(std::memory_order_relaxed);
-    out.classes[c].batched = class_batched_[c].load(std::memory_order_relaxed);
     out.classes[c].shed = class_shed_[c].load(std::memory_order_relaxed);
     out.classes[c].blocked = class_blocked_[c].load(std::memory_order_relaxed);
   }
-  out.size_flushes = size_flushes_.load(std::memory_order_relaxed);
-  out.deadline_flushes = deadline_flushes_.load(std::memory_order_relaxed);
   out.sessions_opened = sessions_opened_.load(std::memory_order_relaxed);
   out.durable_sessions_opened = durable_sessions_opened_.load(std::memory_order_relaxed);
   return out;

@@ -5,9 +5,8 @@
 ///
 ///   tenant id ──hash/pin/hook──▶ shard s
 ///                                   │
-///          Interactive ────────────▶│  direct submit (no buffer)
-///          Standard/BestEffort ────▶│  per-(shard,class) buffer
-///                                   │    flush on size or deadline
+///   any class ──admission──────────▶│  SmootherEngine::submit on the
+///               (block or shed)     │  caller's thread
 ///                                   ▼
 ///                         SmootherEngine shard s
 ///                         (own pool, bounded queue)
@@ -20,17 +19,13 @@
 ///
 /// Admission: before a request enters a shard, the tier estimates that
 /// shard's queue wait as queued_jobs x measured seconds/job / concurrency
-/// (from EngineStats, sampled at most every ~1ms) plus its own unflushed
-/// buffers.  A class over its budget sheds (future fails with
-/// SolveErrorCode::QueueFull) or blocks briefly, per ClassOptions.  Every
-/// decision is mirrored to pitk.serve.* registry counters and trace events.
-///
-/// Batching: buffered classes resolve their deadline/timeout at tier-submit
-/// time, so time spent in the buffer counts against the request's deadline;
-/// flushed jobs ride the engine's normal small/large scheduling.
+/// (from EngineStats, sampled at most every ~1ms).  A class over its budget
+/// sheds (future fails with SolveErrorCode::QueueFull) or blocks briefly,
+/// per ClassOptions.  Every decision is mirrored to pitk.serve.* registry
+/// counters and trace events.  Admitted requests ride the engine's normal
+/// small/large scheduling; the tier starts no thread of its own.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -39,7 +34,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -58,16 +52,17 @@ namespace pitk::serve {
 /// shard's EngineStats; TierStats covers what only the tier can see).
 struct TierClassStats {
   std::uint64_t submitted = 0;  ///< requests handed to the tier
-  std::uint64_t direct = 0;     ///< bypassed the buffer (submit-through)
-  std::uint64_t batched = 0;    ///< entered a flush buffer
   std::uint64_t shed = 0;       ///< failed admission (QueueFull at the door)
   std::uint64_t blocked = 0;    ///< admissions that waited before entering
 };
 
 struct TierStats {
   TierClassStats classes[num_tenant_classes];
-  std::uint64_t size_flushes = 0;      ///< buffers flushed because full
-  std::uint64_t deadline_flushes = 0;  ///< buffers flushed by age
+  /// Always 0: the tier buffers no requests, so nothing flushes.  Kept only
+  /// for existing readers of the former batch counters
+  /// (benchmark/serve_mixed.cpp).
+  std::uint64_t size_flushes = 0;
+  std::uint64_t deadline_flushes = 0;
   std::uint64_t sessions_opened = 0;
   std::uint64_t durable_sessions_opened = 0;
 };
@@ -79,8 +74,9 @@ class ServingTier {
   ServingTier(const ServingTier&) = delete;
   ServingTier& operator=(const ServingTier&) = delete;
 
-  /// Flushes every buffer, drains every shard, and fulfills all
-  /// outstanding batch futures before tearing the shards down.
+  /// Tears the shards down; each shard engine first drains its own queue
+  /// (~SmootherEngine waits for every submitted job), so every future the
+  /// tier handed out resolves with a result or a SolveError.
   ~ServingTier();
 
   [[nodiscard]] unsigned num_shards() const noexcept;
@@ -105,17 +101,14 @@ class ServingTier {
       std::function<std::optional<unsigned>(std::string_view id, unsigned hashed_shard)>;
   void set_rebalance_hook(RebalanceHook hook);
 
-  /// Submit one request for `t`.  Interactive (and any class configured
-  /// submit-through) goes straight to the shard engine; buffered classes
-  /// accumulate and flush on size or deadline.  Jobs too large for
-  /// whole-job batching bypass the buffer regardless of class.  The future
-  /// fails with SolveError(QueueFull) when the class's admission budget
-  /// sheds the request.
+  /// Submit one request for `t`: admission for its class, then a submit to
+  /// its shard engine on the calling thread.  The future fails with
+  /// SolveError(QueueFull) when the class's admission budget sheds the
+  /// request; a malformed problem throws std::invalid_argument here.
   [[nodiscard]] std::future<engine::JobResult> submit(const TenantHandle& t, Request req,
                                                       engine::SubmitOptions opts = {});
 
-  /// Nonlinear requests submit through (outer Gauss-Newton loops do not
-  /// coalesce); admission control still applies.
+  /// Nonlinear requests take the same path: admission, then the shard.
   [[nodiscard]] std::future<engine::JobResult> submit_nonlinear(
       const TenantHandle& t, engine::NonlinearJob job, engine::NonlinearJobOptions opts = {});
 
@@ -136,10 +129,7 @@ class ServingTier {
   [[nodiscard]] std::vector<std::pair<unsigned, engine::RecoveredSessions>> recover(
       const io::SessionStore& base, const engine::RecoveryOptions& opts = {});
 
-  /// Submit every buffered request now, regardless of size/deadline.
-  void flush();
-
-  /// flush() + drain every shard + forward every outstanding batch future.
+  /// Block until every shard has finished every submitted job.
   void wait_idle();
 
   [[nodiscard]] engine::SmootherEngine& shard_engine(unsigned shard);
@@ -148,21 +138,13 @@ class ServingTier {
 
  private:
   struct Shard;
-  struct PendingJob;
 
   [[nodiscard]] Shard& shard(unsigned s);
   [[nodiscard]] unsigned place(std::string_view id) const;
   /// Estimated seconds a job admitted now would wait in `sh`'s queue.
   [[nodiscard]] double estimated_queue_wait(Shard& sh) const;
-  /// Admission decision for one request; updates counters.  True = enter.
+  /// Counts one request and decides its admission.  True = enter.
   [[nodiscard]] bool admit(Shard& sh, TenantClass cls);
-  /// Move `batch` out of the buffer into the shard engine, wiring each
-  /// engine future to its tier promise (drained by the pump thread).
-  void flush_batch(Shard& sh, TenantClass cls, std::vector<PendingJob> batch);
-  /// Forward completed engine futures into tier promises; returns the
-  /// number still outstanding.
-  std::size_t pump_forwarded(Shard& sh);
-  void pump_loop();
 
   ServeOptions opts_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -172,20 +154,10 @@ class ServingTier {
   RebalanceHook hook_;
 
   std::atomic<std::uint64_t> class_submitted_[num_tenant_classes] = {};
-  std::atomic<std::uint64_t> class_direct_[num_tenant_classes] = {};
-  std::atomic<std::uint64_t> class_batched_[num_tenant_classes] = {};
   std::atomic<std::uint64_t> class_shed_[num_tenant_classes] = {};
   std::atomic<std::uint64_t> class_blocked_[num_tenant_classes] = {};
-  std::atomic<std::uint64_t> size_flushes_{0};
-  std::atomic<std::uint64_t> deadline_flushes_{0};
   std::atomic<std::uint64_t> sessions_opened_{0};
   std::atomic<std::uint64_t> durable_sessions_opened_{0};
-
-  // Pump thread last: its loop touches every member above.
-  std::atomic<bool> stop_{false};
-  std::mutex pump_mu_;
-  std::condition_variable pump_cv_;
-  std::thread pump_;
 };
 
 }  // namespace pitk::serve

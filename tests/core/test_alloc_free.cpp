@@ -417,7 +417,7 @@ TEST(AllocFree, RecoveredSessionResmoothOnWarmCache) {
 
   engine::SmootherEngine eng({.threads = 1});
   {
-    engine::Session live = eng.open_durable_session(store, "warm", 4);
+    engine::Session live = eng.open_session(4, engine::SessionOptions{}.durable(store, "warm"));
     for (la::index i = 0; i <= cp.for_qr.last_index(); ++i) {
       if (i > 0) {
         const Evolution& e = *cp.for_qr.step(i).evolution;

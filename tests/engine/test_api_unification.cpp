@@ -1,22 +1,16 @@
 /// \file test_api_unification.cpp
-/// The PR-9 API redesign contract:
+/// The unified submit/session API contract:
 ///
 ///  - JobOptions / NonlinearJobOptions are thin extensions of the shared
 ///    SubmitOptions base (the deadline/timeout/cancel/into/backend plumbing
 ///    exists exactly once);
 ///  - the one open_session(SessionOptions) entry point (nonlinear and
-///    durable as orthogonal options) produces *bit-identical* results to
-///    the four deprecated pre-unification entry points — including
-///    byte-identical on-disk journals for the durable pair, since journals
-///    carry no timestamps.
-///
-/// The deprecated names are exercised here on purpose (warnings suppressed
-/// locally); everywhere else in the tree calls the unified API.
+///    durable as orthogonal options) defaults like the bare overload and
+///    validates its options.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -48,11 +42,6 @@ io::SessionStore fresh_store(const std::string& name) {
   return io::SessionStore(o);
 }
 
-std::string file_bytes(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
-}
-
 void expect_bit_identical(const kalman::SmootherResult& a, const kalman::SmootherResult& b) {
   ASSERT_EQ(a.means.size(), b.means.size());
   for (std::size_t i = 0; i < a.means.size(); ++i)
@@ -68,12 +57,6 @@ void feed(Session& s, const kalman::Problem& track) {
       s.observe(step.observation->G, step.observation->o, step.observation->noise);
   }
 }
-
-// The deprecated wrappers are the test subject here.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
 
 TEST(ApiUnification, SubmitOptionsSliceCarriesTheSharedFields) {
   auto cancel = std::make_shared<CancelToken>();
@@ -114,69 +97,6 @@ TEST(ApiUnification, LinearSessionOldVsNewBitIdentical) {
   feed(s_old, track);
   expect_bit_identical(s_old.smooth(true), s_new.smooth(true));
 }
-
-TEST(ApiUnification, NonlinearSessionOldVsNewBitIdentical) {
-  SmootherEngine eng({.threads = 2});
-  Rng rng_a(0xAB2), rng_b(0xAB2);  // identical streams -> identical models
-  kalman::NonlinearModel m_old = kalman::make_pendulum_benchmark(rng_a, 24, 0.5);
-  kalman::NonlinearModel m_new = kalman::make_pendulum_benchmark(rng_b, 24, 0.5);
-
-  NonlinearJobOptions opts;
-  opts.gn.tolerance = 1e-12;
-  NonlinearSession old_s =
-      eng.open_nonlinear_session(std::move(m_old), Vector({0.5, 0.0}), opts);
-  SessionOptions so;
-  so.nonlinear = opts;
-  NonlinearSession new_s = eng.open_session(std::move(m_new), Vector({0.5, 0.0}), so);
-
-  expect_bit_identical(old_s.smooth(), new_s.smooth());
-}
-
-TEST(ApiUnification, DurableLinearOldVsNewByteIdenticalJournal) {
-  SmootherEngine eng({.threads = 2});
-  Rng rng(0xAB3);
-  const kalman::Problem track = kalman::make_paper_benchmark(rng, 3, 24);
-  io::SessionStore store_old = fresh_store("lin-old");
-  io::SessionStore store_new = fresh_store("lin-new");
-
-  {
-    Session s_old = eng.open_durable_session(store_old, "tenant", 3);
-    Session s_new = eng.open_session(3, SessionOptions{}.durable(store_new, "tenant"));
-    feed(s_old, track);
-    feed(s_new, track);
-    expect_bit_identical(s_old.smooth(true), s_new.smooth(true));
-  }
-  const std::string old_bytes = file_bytes(store_old.path_for("tenant"));
-  ASSERT_FALSE(old_bytes.empty());
-  EXPECT_EQ(old_bytes, file_bytes(store_new.path_for("tenant")))
-      << "old and new durable opens must journal identically";
-}
-
-TEST(ApiUnification, DurableNonlinearOldVsNewByteIdenticalJournal) {
-  SmootherEngine eng({.threads = 2});
-  Rng rng_a(0xAB4), rng_b(0xAB4);
-  kalman::NonlinearModel m_old = kalman::make_pendulum_benchmark(rng_a, 16, 0.4);
-  kalman::NonlinearModel m_new = kalman::make_pendulum_benchmark(rng_b, 16, 0.4);
-  io::SessionStore store_old = fresh_store("nl-old");
-  io::SessionStore store_new = fresh_store("nl-new");
-
-  {
-    NonlinearSession s_old =
-        eng.open_durable_nonlinear_session(store_old, "tenant", std::move(m_old),
-                                           Vector({0.4, 0.0}));
-    NonlinearSession s_new = eng.open_session(
-        std::move(m_new), Vector({0.4, 0.0}), SessionOptions{}.durable(store_new, "tenant"));
-    expect_bit_identical(s_old.smooth(), s_new.smooth());
-  }
-  const std::string old_bytes = file_bytes(store_old.path_for("tenant"));
-  ASSERT_FALSE(old_bytes.empty());
-  EXPECT_EQ(old_bytes, file_bytes(store_new.path_for("tenant")))
-      << "old and new durable nonlinear opens must journal identically";
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 TEST(ApiUnification, SessionOptionsValidatesLikeTheOldEntryPoints) {
   SmootherEngine eng({.threads = 1});

@@ -1,9 +1,11 @@
 /// \file test_serve.cpp
 /// The serving-tier contract: stable tenant placement (hash, pin, hook),
-/// deadline-flush correctness against direct submits across all five
-/// backends, per-class admission under overload (besteffort sheds first,
-/// interactive last), shard-aware durable journal placement + recovery, and
-/// a TSan-able concurrent multi-tenant stress.
+/// every class agreeing with direct submits across all five backends,
+/// synchronous rejection of malformed problems, per-class admission under
+/// overload (besteffort sheds first, interactive last), strict parsing of
+/// the environment knobs, every future resolving when the tier is destroyed
+/// mid-flight, shard-aware durable journal placement + recovery, and a
+/// TSan-able concurrent multi-tenant stress.
 ///
 /// The ServeFault suite also runs in CI's fault-smoke leg with
 /// PITK_FAULTS="engine.dequeue:delay:..." armed: per-request deadlines must
@@ -15,10 +17,16 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
+#include <future>
+#include <memory>
+#include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "pitk.hpp"
@@ -99,12 +107,8 @@ TEST(ServeTier, PinBeatsHookBeatsHash) {
   EXPECT_EQ(tier.shard_of("vip"), hashed);
 }
 
-TEST(ServeTier, DeadlineFlushedBatchesAgreeWithDirectSubmitAllBackends) {
-  ServeOptions so = two_shards();
-  // Size cut high + short deadline: these submits flush by deadline only.
-  so.classes[tenant_class_index(TenantClass::Standard)].flush_max_jobs = 64;
-  so.classes[tenant_class_index(TenantClass::Standard)].flush_deadline_seconds = 0.002;
-  ServingTier tier(so);
+TEST(ServeTier, EveryClassAgreesWithDirectSubmitAllBackends) {
+  ServingTier tier(two_shards());
 
   Rng rng(0x5E11);
   for (const engine::BackendInfo& info : engine::all_backends()) {
@@ -112,46 +116,126 @@ TEST(ServeTier, DeadlineFlushedBatchesAgreeWithDirectSubmitAllBackends) {
     kalman::Problem p = small_problem(prng);
     const kalman::GaussianPrior prior = kalman::diffuse_prior(3);
 
-    TenantHandle t = tier.tenant(std::string("t-") + info.name, TenantClass::Standard);
-    engine::JobOptions direct;
-    direct.backend = info.id;
-    direct.prior = prior;
-    const kalman::SmootherResult ref =
-        tier.shard_engine(t.shard()).submit(p, direct).get().result;
+    for (int c = 0; c < num_tenant_classes; ++c) {
+      const TenantClass cls = static_cast<TenantClass>(c);
+      TenantHandle t =
+          tier.tenant(std::string("t-") + info.name + "-" + tenant_class_name(cls), cls);
+      engine::JobOptions direct;
+      direct.backend = info.id;
+      direct.prior = prior;
+      const kalman::SmootherResult ref =
+          tier.shard_engine(t.shard()).submit(p, direct).get().result;
 
-    Request req;
-    req.problem = p;
-    req.prior = prior;
-    engine::SubmitOptions opts;
-    opts.backend = info.id;
-    // No flush()/wait_idle(): only the pump's deadline flush can deliver.
-    const kalman::SmootherResult got = tier.submit(t, std::move(req), opts).get().result;
-    EXPECT_LE(max_deviation(got, ref), 1e-10) << info.name;
+      Request req;
+      req.problem = p;
+      req.prior = prior;
+      engine::SubmitOptions opts;
+      opts.backend = info.id;
+      const kalman::SmootherResult got = tier.submit(t, std::move(req), opts).get().result;
+      EXPECT_LE(max_deviation(got, ref), 1e-10) << info.name << " " << tenant_class_name(cls);
+    }
   }
   const TierStats st = tier.stats();
-  EXPECT_GT(st.deadline_flushes, 0u);
-  EXPECT_EQ(st.classes[tenant_class_index(TenantClass::Standard)].shed, 0u);
+  for (const TierClassStats& c : st.classes) {
+    EXPECT_EQ(c.submitted, engine::all_backends().size());
+    EXPECT_EQ(c.shed, 0u);
+  }
+  // The tier buffers nothing, so the former flush counters stay 0.
+  EXPECT_EQ(st.size_flushes, 0u);
+  EXPECT_EQ(st.deadline_flushes, 0u);
 }
 
-TEST(ServeTier, SizeTriggeredFlushDeliversWholeBatch) {
-  ServeOptions so = two_shards();
-  so.classes[tenant_class_index(TenantClass::Standard)].flush_max_jobs = 4;
-  so.classes[tenant_class_index(TenantClass::Standard)].flush_deadline_seconds = 10.0;
-  ServingTier tier(so);
+TEST(ServeTier, MalformedProblemThrowsSynchronouslyForEveryClass) {
+  ServingTier tier(two_shards());
+  Rng rng(0xBAD);
+  kalman::Problem bad = small_problem(rng);
+  // An observation vector one entry longer than its G has rows.
+  for (index i = 0; i < bad.num_states(); ++i)
+    if (bad.step(i).observation) {
+      kalman::Observation& ob = *bad.step(i).observation;
+      ob.o = la::Vector(ob.o.size() + 1);
+      break;
+    }
+  ASSERT_TRUE(bad.validate().has_value());
 
-  Rng rng(0x512E);
-  TenantHandle t = tier.tenant("batcher", TenantClass::Standard);
-  std::vector<std::future<engine::JobResult>> futs;
-  for (int i = 0; i < 8; ++i) {  // two full batches; deadline far away
+  for (int c = 0; c < num_tenant_classes; ++c) {
+    const TenantClass cls = static_cast<TenantClass>(c);
+    TenantHandle t = tier.tenant(std::string("bad-") + tenant_class_name(cls), cls);
     Request req;
-    req.problem = small_problem(rng);
+    req.problem = bad;
     req.prior = kalman::diffuse_prior(3);
-    futs.push_back(tier.submit(t, std::move(req)));
+    EXPECT_THROW((void)tier.submit(t, std::move(req)), std::invalid_argument)
+        << tenant_class_name(cls);
   }
-  for (auto& f : futs) EXPECT_NO_THROW((void)f.get());
-  const TierStats st = tier.stats();
-  EXPECT_GE(st.size_flushes, 2u);
-  EXPECT_EQ(st.classes[tenant_class_index(TenantClass::Standard)].batched, 8u);
+}
+
+/// Sets environment variables for one scope and restores each previous value
+/// (or its absence) on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv() = default;
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+  ~ScopedEnv() {
+    for (auto it = saved_.rbegin(); it != saved_.rend(); ++it) {
+      if (it->second)
+        setenv(it->first.c_str(), it->second->c_str(), 1);
+      else
+        unsetenv(it->first.c_str());
+    }
+  }
+
+  void set(const char* name, const char* value) {
+    const char* old = std::getenv(name);
+    saved_.emplace_back(name, old != nullptr ? std::optional<std::string>(old) : std::nullopt);
+    setenv(name, value, 1);
+  }
+
+ private:
+  std::vector<std::pair<std::string, std::optional<std::string>>> saved_;
+};
+
+TEST(ServeTier, EnvDefaultsKeepDefaultsForMalformedValues) {
+  const ServeOptions defaults;
+  auto expect_defaults = [&](const ServeOptions& got, const std::string& what) {
+    EXPECT_EQ(got.shards, defaults.shards) << what;
+    EXPECT_EQ(got.threads_per_shard, defaults.threads_per_shard) << what;
+    for (int c = 0; c < num_tenant_classes; ++c)
+      EXPECT_EQ(got.classes[c].max_queue_wait_seconds,
+                defaults.classes[c].max_queue_wait_seconds)
+          << what << " class " << c;
+  };
+
+  ScopedEnv env;
+  env.set("PITK_SHARDS", "3");
+  env.set("PITK_SERVE_THREADS", "2");
+  env.set("PITK_SERVE_WAIT_MS", "10");
+  const ServeOptions good = ServeOptions::env_defaults();
+  EXPECT_EQ(good.shards, 3u);
+  EXPECT_EQ(good.threads_per_shard, 2u);
+  const auto wait_of = [&](TenantClass c) {
+    return good.classes[tenant_class_index(c)].max_queue_wait_seconds;
+  };
+  EXPECT_DOUBLE_EQ(wait_of(TenantClass::Interactive), 0.02);
+  EXPECT_DOUBLE_EQ(wait_of(TenantClass::Standard), 0.01);
+  EXPECT_DOUBLE_EQ(wait_of(TenantClass::BestEffort), 0.004);
+
+  // Counts: whole string, positive, no overflow.
+  for (const char* bad : {"2x", "abc", "", "0", "-2", "1.5", "999999999999999999999"}) {
+    env.set("PITK_SHARDS", bad);
+    env.set("PITK_SERVE_THREADS", bad);
+    env.set("PITK_SERVE_WAIT_MS", "abc");
+    expect_defaults(ServeOptions::env_defaults(), std::string("counts '") + bad + "'");
+  }
+  env.set("PITK_SHARDS", "4294967297");  // 2^32 + 1 clamps like PITK_THREADS
+  EXPECT_EQ(ServeOptions::env_defaults().shards, 1024u);
+
+  // The wait: whole string, finite, >= 0.
+  env.set("PITK_SHARDS", "x");
+  for (const char* bad : {"abc", "", "5ms", "inf", "-inf", "nan", "-1", "1e999"}) {
+    env.set("PITK_SERVE_WAIT_MS", bad);
+    expect_defaults(ServeOptions::env_defaults(), std::string("wait '") + bad + "'");
+  }
 }
 
 TEST(ServeTier, LowPriorityShedsBeforeHighUnderOverload) {
@@ -159,9 +243,9 @@ TEST(ServeTier, LowPriorityShedsBeforeHighUnderOverload) {
   so.shards = 1;
   so.threads_per_shard = 2;
   // Tight budgets; interactive may block briefly, besteffort sheds at once.
-  so.classes[0] = {1, 0.0, 2e-3, true, 2e-3};
-  so.classes[1] = {1, 0.0, 1e-3, false, 0.0};
-  so.classes[2] = {1, 0.0, 0.4e-3, false, 0.0};
+  so.classes[0] = {2e-3, true, 2e-3};
+  so.classes[1] = {1e-3, false, 0.0};
+  so.classes[2] = {0.4e-3, false, 0.0};
   ServingTier tier(so);
 
   Rng rng(0x0E21);
@@ -248,6 +332,46 @@ TEST(ServeTier, ConcurrentMultiTenantStress) {
   EXPECT_EQ(submitted, static_cast<std::uint64_t>(kThreads * kPerThread));
 }
 
+TEST(ServeTier, DestroyingTheTierResolvesEveryInFlightFuture) {
+  Rng rng(0xDE57);
+  kalman::Problem base = small_problem(rng, 3, 256);
+  const kalman::GaussianPrior prior = kalman::diffuse_prior(3);
+  std::vector<std::future<engine::JobResult>> futs;
+  std::size_t in_flight = 0;
+  {
+    ServeOptions so;
+    so.shards = 1;  // one 2-thread shard: the submits outrun the solves
+    so.threads_per_shard = 2;
+    ServingTier tier(so);
+    for (int i = 0; i < 48; ++i) {
+      const TenantClass cls = static_cast<TenantClass>(i % num_tenant_classes);
+      TenantHandle t = tier.tenant("inflight-" + std::to_string(i % 6), cls);
+      Request req;
+      req.problem = base;
+      req.prior = prior;
+      futs.push_back(tier.submit(t, std::move(req)));
+    }
+    for (auto& f : futs)
+      if (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) ++in_flight;
+  }  // no wait_idle(): the destructor alone must settle every request
+  EXPECT_GT(in_flight, 0u);
+
+  std::uint64_t completed = 0, classified = 0;
+  for (auto& f : futs) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    try {
+      (void)f.get();
+      ++completed;
+    } catch (const engine::SolveError&) {
+      ++classified;  // shed at admission
+    } catch (const std::future_error& e) {
+      ADD_FAILURE() << "unfulfilled future: " << e.what();
+    }
+  }
+  EXPECT_EQ(completed + classified, futs.size());
+  EXPECT_GT(completed, 0u);
+}
+
 TEST(ServeTier, DurableSessionsPlaceJournalsPerShardAndRecover) {
   io::DurabilityOptions dopts;
   dopts.dir = testing::TempDir() + "/pitk_serve_store";
@@ -311,8 +435,6 @@ TEST(ServeFault, PerClassDeadlinesHoldUnderInjectedDequeueDelay) {
   ServeOptions so;
   so.shards = 1;
   so.threads_per_shard = 2;
-  so.classes[tenant_class_index(TenantClass::Standard)].flush_max_jobs = 4;
-  so.classes[tenant_class_index(TenantClass::Standard)].flush_deadline_seconds = 1e-3;
   ServingTier tier(so);
 
   Rng rng(0xFA017);
